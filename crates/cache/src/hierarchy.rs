@@ -121,6 +121,21 @@ pub struct CacheStatsSnapshot {
     pub pt_line_writes: Counter,
 }
 
+impl CacheStatsSnapshot {
+    /// Adds every counter of `other` into this snapshot.
+    pub fn merge(&mut self, other: &CacheStatsSnapshot) {
+        self.l1.merge(other.l1);
+        self.l2.merge(other.l2);
+        self.llc.merge(other.llc);
+        self.memory_accesses += other.memory_accesses.get();
+        self.invalidations_sent += other.invalidations_sent.get();
+        self.spurious_invalidations += other.spurious_invalidations.get();
+        self.back_invalidations += other.back_invalidations.get();
+        self.writebacks += other.writebacks.get();
+        self.pt_line_writes += other.pt_line_writes.get();
+    }
+}
+
 /// Private L1/L2 hit/miss counts accumulated by one simulate worker; the
 /// commit phase folds them into [`CacheStatsSnapshot`] in canonical unit
 /// order via [`CacheHierarchy::apply_stats_delta`].
@@ -1061,21 +1076,7 @@ impl CacheHierarchy {
     pub fn stats(&self) -> CacheStatsSnapshot {
         let mut total = self.shared.stats;
         for bank in &self.shared.banks {
-            total.l1.merge(bank.stats.l1);
-            total.l2.merge(bank.stats.l2);
-            total.llc.merge(bank.stats.llc);
-            total.memory_accesses.add(bank.stats.memory_accesses.get());
-            total
-                .invalidations_sent
-                .add(bank.stats.invalidations_sent.get());
-            total
-                .spurious_invalidations
-                .add(bank.stats.spurious_invalidations.get());
-            total
-                .back_invalidations
-                .add(bank.stats.back_invalidations.get());
-            total.writebacks.add(bank.stats.writebacks.get());
-            total.pt_line_writes.add(bank.stats.pt_line_writes.get());
+            total.merge(&bank.stats);
         }
         total
     }

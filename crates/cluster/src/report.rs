@@ -91,8 +91,9 @@ pub struct RecoveryStats {
 /// cluster-level aggregates.
 ///
 /// `aggregate` sums the *mergeable* per-host host-level fields (accesses,
-/// coherence, faults, interference, NUMA, paging, latency histograms and
-/// the causal ledger — each via its own `merge`); `cycles_per_cpu` is the
+/// coherence, faults, interference, NUMA, paging, translation, cache,
+/// energy, latency histograms and the causal ledger — each via its own
+/// `merge`); `cycles_per_cpu` is the
 /// per-host concatenation in host order, so `runtime_cycles()` is the
 /// fleet-wide critical path.  The reconciliation contract — aggregate
 /// fields equal the field-wise sum over `per_host` — is enforced by the
@@ -141,6 +142,9 @@ impl ClusterReport {
             aggregate.interference.merge(&host.host.interference);
             aggregate.numa.merge(&host.host.numa);
             aggregate.paging.merge(&host.host.paging);
+            aggregate.translation.merge(&host.host.translation);
+            aggregate.cache.merge(&host.host.cache);
+            aggregate.energy.merge(&host.host.energy);
             aggregate.latency.merge(&host.host.latency);
             aggregate.causal.merge(&host.host.causal);
             migration.merge(&host.migration);
@@ -293,6 +297,15 @@ mod tests {
         b.host.accesses = 32;
         b.host.cycles_per_cpu = vec![9];
         b.migration.received_pages = 2;
+        a.host.translation.l1_tlb.add_misses(4);
+        b.host.translation.l1_tlb.add_misses(6);
+        b.host.translation.ntlb.add_hits(5);
+        a.host.cache.llc.add_hits(7);
+        b.host.cache.back_invalidations.add(3);
+        a.host.energy.dynamic_nj = 1.5;
+        a.host.energy.static_nj = 2.0;
+        b.host.energy.dynamic_nj = 0.5;
+        b.host.energy.static_nj = 1.0;
         let report = ClusterReport::new(
             vec![a, b],
             Vec::new(),
@@ -304,6 +317,12 @@ mod tests {
         assert_eq!(report.aggregate.cycles_per_cpu, vec![5, 7, 9]);
         assert_eq!(report.migration.pages_copied, 3);
         assert_eq!(report.migration.received_pages, 2);
+        assert_eq!(report.aggregate.translation.l1_tlb.misses(), 10);
+        assert_eq!(report.aggregate.translation.ntlb.hits(), 5);
+        assert_eq!(report.aggregate.cache.llc.hits(), 7);
+        assert_eq!(report.aggregate.cache.back_invalidations.get(), 3);
+        assert_eq!(report.aggregate.energy.dynamic_nj, 2.0);
+        assert_eq!(report.aggregate.energy.static_nj, 3.0);
         assert_eq!(report.downtime_percentile(99), 0, "no migrations ran");
     }
 }

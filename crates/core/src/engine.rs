@@ -23,14 +23,6 @@
 //! `parallel_determinism` integration test enforces over every registered
 //! scenario.
 //!
-//! The slice-executor contract is the [`EngineBackend`] trait: this
-//! module's phased engine ([`EngineState`]) is one implementation, and the
-//! sibling [`crate::engine_mp`] module provides a message-passing actor
-//! variant ([`crate::engine_mp::MessageEngine`]) built from the same
-//! phase helpers and effect types, so the two can only differ in
-//! orchestration — the `engine_conformance` integration test proves them
-//! byte-identical.  [`EngineKind`] selects between them.
-//!
 //! Two deliberate model relaxations make the split possible (both are
 //! slice-granular, i.e. they defer cross-VM visibility to the barrier, and
 //! both are documented in `docs/ARCHITECTURE.md`):
@@ -279,44 +271,44 @@ impl FramePool {
 /// overlays and interleave cursors.
 #[derive(Debug)]
 pub struct EngineState {
-    pub(crate) pools: Vec<FramePool>,
-    pub(crate) pendings: Vec<DramPending>,
+    pools: Vec<FramePool>,
+    pendings: Vec<DramPending>,
     /// Per-VM round-robin cursor of the [`NumaPolicy::Interleaved`]
     /// placement (the serial path keeps one global cursor; a shared cursor
     /// cannot be advanced from concurrent workers, so the engine interleaves
     /// per VM instead).
-    pub(crate) interleave: Vec<usize>,
+    interleave: Vec<usize>,
     /// Lazily created persistent workers (`threads - 1` of them; the
     /// calling thread always executes one share itself).
-    pub(crate) pool: Option<WorkerPool>,
+    pool: Option<WorkerPool>,
     /// Reusable commit-phase buffers (cleared each slice — the hot loop
     /// allocates nothing in steady state).
-    pub(crate) commit: CommitScratch,
+    commit: CommitScratch,
     /// Recycled per-unit effect logs (their `Vec` capacities are the
     /// largest per-slice allocation; reusing them keeps the steady-state
     /// slice loop allocation-free).
-    pub(crate) effects_pool: Vec<UnitEffects>,
+    effects_pool: Vec<UnitEffects>,
     /// Wall-clock totals per engine phase (never read by model code).
-    pub(crate) profiler: PhaseProfiler,
+    profiler: PhaseProfiler,
 }
 
-/// Reusable buffers of the commit phase — the component inboxes: one queue
-/// per LLC bank, the DRAM device queue, the serial committer's queue, and
-/// the seq → slot map effect replay charges against.
+/// Reusable buffers of the commit phase: one queue per LLC bank, the DRAM
+/// device queue, the serial committer's queue, and the seq → slot map
+/// effect replay charges against.
 #[derive(Debug, Default)]
-pub(crate) struct CommitScratch {
-    pub(crate) bank_queues: Vec<Vec<(u64, SharedCacheOp)>>,
-    pub(crate) mem_queue: Vec<MemoryBooking>,
-    pub(crate) serial_queue: Vec<(u64, usize, SerialEffect)>,
-    pub(crate) seq_slots: Vec<u32>,
-    pub(crate) privs: Vec<(u64, hatric_cache::PrivEffect)>,
+struct CommitScratch {
+    bank_queues: Vec<Vec<(u64, SharedCacheOp)>>,
+    mem_queue: Vec<MemoryBooking>,
+    serial_queue: Vec<(u64, usize, SerialEffect)>,
+    seq_slots: Vec<u32>,
+    privs: Vec<(u64, hatric_cache::PrivEffect)>,
 }
 
 impl CommitScratch {
     /// Re-arms the buffers for a slice on a hierarchy with `bank_count`
     /// banks (capacities are retained — the hot loop allocates nothing in
     /// steady state).
-    pub(crate) fn reset(&mut self, bank_count: usize) {
+    fn reset(&mut self, bank_count: usize) {
         self.bank_queues.resize_with(bank_count, Vec::new);
         for queue in &mut self.bank_queues {
             queue.clear();
@@ -354,122 +346,10 @@ impl EngineState {
 
     /// Makes sure the persistent worker pool exists with at least
     /// `threads - 1` workers.
-    pub(crate) fn ensure_pool(&mut self, threads: usize) {
+    fn ensure_pool(&mut self, threads: usize) {
         let want = threads.saturating_sub(1);
         if self.pool.as_ref().is_none_or(|p| p.workers() < want) {
             self.pool = Some(WorkerPool::new(want));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The slice-executor contract
-// ---------------------------------------------------------------------------
-
-/// The slice-executor contract a consolidated host drives: execute one
-/// scheduler slice against the shared platform and the per-VM state, and
-/// expose wall-clock phase totals for telemetry.
-///
-/// Every backend must be **deterministic and thread-count invariant**:
-/// for a fixed configuration, reports are byte-identical across backends
-/// and across any `threads ≥ 1` (the `parallel_determinism` and
-/// `engine_conformance` integration tests enforce both properties).
-pub trait EngineBackend: std::fmt::Debug + Send {
-    /// Executes one scheduler slice (see [`run_slice_parallel`] for the
-    /// contract on `placements`, `slice_accesses` and `threads`).
-    fn run_slice(
-        &mut self,
-        platform: &mut Platform,
-        vms: &mut [VmInstance],
-        drivers: &mut [WorkloadDriver],
-        placements: &[Placement],
-        slice_accesses: u64,
-        threads: usize,
-    );
-
-    /// Wall-clock time spent per engine phase plus the number of slices
-    /// executed.  Purely observational — the model never reads it.
-    fn phase_totals(&self) -> &PhaseTotals;
-}
-
-impl EngineBackend for EngineState {
-    fn run_slice(
-        &mut self,
-        platform: &mut Platform,
-        vms: &mut [VmInstance],
-        drivers: &mut [WorkloadDriver],
-        placements: &[Placement],
-        slice_accesses: u64,
-        threads: usize,
-    ) {
-        run_slice_parallel(
-            platform,
-            vms,
-            drivers,
-            placements,
-            slice_accesses,
-            threads,
-            self,
-        );
-    }
-
-    fn phase_totals(&self) -> &PhaseTotals {
-        self.profiler.totals()
-    }
-}
-
-/// Selects which interchangeable [`EngineBackend`] a host runs.  Both
-/// backends produce byte-identical reports for any configuration and
-/// thread count; the knob exists for cross-validation and for comparing
-/// their orchestration overheads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// The phased simulate → commit executor of [`run_slice_parallel`].
-    #[default]
-    Sliced,
-    /// The actor-style message-passing executor,
-    /// [`crate::engine_mp::MessageEngine`].
-    MessagePassing,
-}
-
-impl EngineKind {
-    /// Short CLI/report label: `sliced` or `mp` (both are accepted back by
-    /// the [`std::str::FromStr`] impl).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineKind::Sliced => "sliced",
-            EngineKind::MessagePassing => "mp",
-        }
-    }
-
-    /// Builds a fresh backend of this kind for a host with `num_vms` VM
-    /// slots on `sockets` sockets.
-    #[must_use]
-    pub fn build(self, num_vms: usize, sockets: usize) -> Box<dyn EngineBackend> {
-        match self {
-            EngineKind::Sliced => Box::new(EngineState::new(num_vms, sockets)),
-            EngineKind::MessagePassing => {
-                Box::new(crate::engine_mp::MessageEngine::new(num_vms, sockets))
-            }
-        }
-    }
-}
-
-impl std::fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-impl std::str::FromStr for EngineKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "sliced" | "phased" => Ok(EngineKind::Sliced),
-            "mp" | "message-passing" | "message_passing" => Ok(EngineKind::MessagePassing),
-            other => Err(format!("unknown engine `{other}` (sliced|mp)")),
         }
     }
 }
@@ -480,7 +360,7 @@ impl std::str::FromStr for EngineKind {
 
 /// Deferred translation-coherence work on a physical CPU another unit owns.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct RemoteTarget {
+struct RemoteTarget {
     cpu: CpuId,
     action: TargetAction,
     vm_exit: bool,
@@ -494,11 +374,9 @@ pub(crate) struct RemoteTarget {
     remap_ordinal: u64,
 }
 
-/// One deferred shared-state mutation, applied at the slice barrier (and
-/// doubling as the message payload of the message-passing engine — shared
-/// payload types are what pin the two backends to one semantics).
+/// One deferred shared-state mutation, applied at the slice barrier.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Effect {
+enum Effect {
     /// An LLC/directory op (replayed via `CacheHierarchy::apply_op`).
     Cache(SharedCacheOp),
     /// A DRAM/link booking (replayed via `MemorySystem::apply_booking`).
@@ -511,9 +389,9 @@ pub(crate) enum Effect {
 
 /// Everything one unit's simulate phase produced.
 #[derive(Debug)]
-pub(crate) struct UnitEffects {
-    pub(crate) slot: usize,
-    pub(crate) effects: Vec<Effect>,
+struct UnitEffects {
+    slot: usize,
+    effects: Vec<Effect>,
     energy: EnergyTally,
     cache_stats: CacheStatsDelta,
     /// Scratch buffer `simulate_read`/`simulate_write` push into before the
@@ -1330,7 +1208,7 @@ fn apply_target_action(
 
 /// The non-bank effects of the seq-ordered serial pass.
 #[derive(Debug)]
-pub(crate) enum SerialEffect {
+enum SerialEffect {
     Observe(GuestFrame),
     Remote(RemoteTarget),
 }
@@ -1355,13 +1233,26 @@ fn commit_effects(
     scratch: &mut CommitScratch,
     profiler: &mut PhaseProfiler,
 ) {
+    // Private tallies first: private-cache stat deltas, the energy tally,
+    // and the slot-ordered trace merge (the same canonical order as the
+    // energy tallies, so sink contents are thread-count invariant).
     for unit in effects.iter_mut() {
-        apply_unit_tallies(platform, unit);
+        platform.caches.apply_stats_delta(&unit.cache_stats);
+        unit.energy.apply_to(&mut platform.energy);
+        if let Some(sink) = platform.trace.as_mut() {
+            for event in unit.trace.drain(..) {
+                sink.record(event);
+            }
+        } else {
+            unit.trace.clear();
+        }
     }
 
-    // Partition by destination, assigning each effect its global seq (slot
-    // order is the canonical commit order).  All buffers are reused across
-    // slices.
+    // Route every effect to the component that consumes it, assigning each
+    // its global seq (slot order is the canonical commit order):
+    // LLC/directory ops to their geometry bank's queue, DRAM bookings to
+    // the device queue, observations and remote coherence work to the
+    // serial queue.  All buffers are reused across slices.
     scratch.reset(platform.caches.bank_count());
     let CommitScratch {
         bank_queues,
@@ -1373,15 +1264,18 @@ fn commit_effects(
     let mut seq: u64 = 0;
     for unit in effects.iter() {
         for effect in &unit.effects {
-            route_effect(
-                platform,
-                bank_queues,
-                mem_queue,
-                serial_queue,
-                seq,
-                unit.slot,
-                effect,
-            );
+            match effect {
+                Effect::Cache(op) => {
+                    bank_queues[platform.caches.bank_of(op.line())].push((seq, *op));
+                }
+                Effect::Mem(booking) => mem_queue.push(*booking),
+                Effect::Observe { gpp } => {
+                    serial_queue.push((seq, unit.slot, SerialEffect::Observe(*gpp)));
+                }
+                Effect::Remote(target) => {
+                    serial_queue.push((seq, unit.slot, SerialEffect::Remote(*target)));
+                }
+            }
             seq_slots.push(unit.slot as u32);
             seq += 1;
         }
@@ -1399,56 +1293,12 @@ fn commit_effects(
     serial_pass(platform, vms, privs, serial_queue, seq_slots, profiler);
 }
 
-/// Applies one unit's private tallies: private-cache stat deltas, the
-/// energy tally, and the slot-ordered trace merge (the same canonical
-/// order as the energy tallies, so sink contents are thread-count — and
-/// backend — invariant).
-pub(crate) fn apply_unit_tallies(platform: &mut Platform, unit: &mut UnitEffects) {
-    platform.caches.apply_stats_delta(&unit.cache_stats);
-    unit.energy.apply_to(&mut platform.energy);
-    if let Some(sink) = platform.trace.as_mut() {
-        for event in unit.trace.drain(..) {
-            sink.record(event);
-        }
-    } else {
-        unit.trace.clear();
-    }
-}
-
-/// Routes one effect, stamped with its global `seq`, to the component that
-/// consumes it: LLC/directory ops to their geometry bank's queue, DRAM
-/// bookings to the device queue, observations and remote coherence work to
-/// the serial committer's queue.  Both backends route through this one
-/// function, so the destination of an effect can never diverge.
-pub(crate) fn route_effect(
-    platform: &Platform,
-    bank_queues: &mut [Vec<(u64, SharedCacheOp)>],
-    mem_queue: &mut Vec<MemoryBooking>,
-    serial_queue: &mut Vec<(u64, usize, SerialEffect)>,
-    seq: u64,
-    slot: usize,
-    effect: &Effect,
-) {
-    match effect {
-        Effect::Cache(op) => {
-            bank_queues[platform.caches.bank_of(op.line())].push((seq, *op));
-        }
-        Effect::Mem(booking) => mem_queue.push(*booking),
-        Effect::Observe { gpp } => {
-            serial_queue.push((seq, slot, SerialEffect::Observe(*gpp)));
-        }
-        Effect::Remote(target) => {
-            serial_queue.push((seq, slot, SerialEffect::Remote(*target)));
-        }
-    }
-}
-
 /// The parallel replay phase: bank replays + DRAM bookings.  Bank replays
 /// read no private or device state, so any worker↔bank assignment yields
 /// the same result; the bank count never depends on `threads`.  On return,
 /// `privs` holds every deferred private-cache effect sorted into the one
 /// canonical global-seq order.
-pub(crate) fn replay_banks(
+fn replay_banks(
     platform: &mut Platform,
     threads: usize,
     pool: Option<&WorkerPool>,
@@ -1536,7 +1386,7 @@ pub(crate) fn replay_banks(
 /// The serial committer: walks priv effects and remote/observe effects
 /// merged by global seq, applying everything that touches private pairs,
 /// VM counters or translation structures.
-pub(crate) fn serial_pass(
+fn serial_pass(
     platform: &mut Platform,
     vms: &mut [VmInstance],
     privs: &[(u64, hatric_cache::PrivEffect)],
@@ -1669,7 +1519,7 @@ fn commit_remote_target(
 /// so a pool holding `min(2 × accesses, quota remaining)` frames can never
 /// run dry for first-touch); off-chip refill is bounded by the per-slice
 /// demand estimate.
-pub(crate) fn refill_pools(
+fn refill_pools(
     platform: &mut Platform,
     vms: &[VmInstance],
     units: &[(usize, Vec<Placement>)],
@@ -1826,7 +1676,7 @@ pub fn run_slice_parallel(
 /// entry per scheduled VM slot (ascending), preserving the scheduler's
 /// placement order within each unit — the canonical commit order is
 /// `(vm slot, emission order)`.
-pub(crate) fn group_units(placements: &[Placement]) -> Vec<(usize, Vec<Placement>)> {
+fn group_units(placements: &[Placement]) -> Vec<(usize, Vec<Placement>)> {
     let mut units: Vec<(usize, Vec<Placement>)> = Vec::new();
     let mut slots: Vec<usize> = placements.iter().map(|p| p.vm_slot).collect();
     slots.sort_unstable();
@@ -1846,8 +1696,8 @@ pub(crate) fn group_units(placements: &[Placement]) -> Vec<(usize, Vec<Placement
 /// CPUs and per-slot engine resources) against the frozen slice-start
 /// snapshot of the shared state, on up to `threads` OS threads.  Returns
 /// the per-unit effect logs **in ascending slot order** — the canonical
-/// order both backends commit in.
-pub(crate) fn simulate_phase(
+/// commit order.
+fn simulate_phase(
     platform: &mut Platform,
     vms: &mut [VmInstance],
     drivers: &mut [WorkloadDriver],

@@ -345,11 +345,7 @@ impl Platform {
     pub fn translation_snapshot(&self) -> TranslationStatsSnapshot {
         let mut translation = TranslationStatsSnapshot::default();
         for s in &self.structures {
-            let snap = s.stats();
-            translation.l1_tlb.merge(snap.l1_tlb);
-            translation.l2_tlb.merge(snap.l2_tlb);
-            translation.mmu_cache.merge(snap.mmu_cache);
-            translation.ntlb.merge(snap.ntlb);
+            translation.merge(&s.stats());
         }
         translation
     }

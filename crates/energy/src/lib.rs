@@ -224,6 +224,12 @@ impl EnergyReport {
     pub fn total_nj(&self) -> f64 {
         self.dynamic_nj + self.static_nj
     }
+
+    /// Adds `other`'s dynamic and static energy into this report.
+    pub fn merge(&mut self, other: &EnergyReport) {
+        self.dynamic_nj += other.dynamic_nj;
+        self.static_nj += other.static_nj;
+    }
 }
 
 /// Every energy event, in a fixed canonical order (used by

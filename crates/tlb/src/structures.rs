@@ -143,6 +143,16 @@ pub struct TranslationStatsSnapshot {
     pub ntlb: RatioStat,
 }
 
+impl TranslationStatsSnapshot {
+    /// Adds every structure's hits and misses of `other` into this snapshot.
+    pub fn merge(&mut self, other: &TranslationStatsSnapshot) {
+        self.l1_tlb.merge(other.l1_tlb);
+        self.l2_tlb.merge(other.l2_tlb);
+        self.mmu_cache.merge(other.mmu_cache);
+        self.ntlb.merge(other.ntlb);
+    }
+}
+
 /// All translation structures of one CPU, with co-tag support.
 #[derive(Debug, Clone)]
 pub struct TranslationStructures {

@@ -3,8 +3,7 @@
 //! Three invariants, per the cluster design:
 //!
 //! 1. **Byte-identical fleets** — a `ClusterReport` is byte-identical
-//!    for any worker-thread count ({1, 2, 4}) and for both per-host
-//!    slice-executor backends (`sliced` and `mp`).  All cross-host
+//!    for any worker-thread count ({1, 2, 4}).  All cross-host
 //!    coupling is serialized at epoch boundaries, so the fleet's shape
 //!    of parallelism must never leak into results.  The scenario layer
 //!    gets the same treatment through the registry (reusing the
@@ -25,7 +24,7 @@ use common::strip_timing;
 use hatric_cluster::PlacementPolicy;
 use hatric_host::experiments::ClusterChurnParams;
 use hatric_host::scenario::{find, Params, Scale};
-use hatric_host::{CoherenceMechanism, EngineKind};
+use hatric_host::CoherenceMechanism;
 
 /// A tighter sizing than [`ClusterChurnParams::quick`] for the sweeps
 /// that run many fleets.
@@ -56,28 +55,18 @@ fn fleet_fingerprint(params: &ClusterChurnParams, migrations: usize) -> String {
 }
 
 #[test]
-fn cluster_report_is_byte_identical_across_threads_and_engines() {
+fn cluster_report_is_byte_identical_across_threads() {
     let reference = fleet_fingerprint(&tiny(), 2);
-    for engine in [EngineKind::Sliced, EngineKind::MessagePassing] {
-        for threads in [1usize, 2, 4] {
-            let params = ClusterChurnParams {
-                threads,
-                engine,
-                ..tiny()
-            };
-            let run = fleet_fingerprint(&params, 2);
-            assert_eq!(
-                run, reference,
-                "fleet diverged at threads={threads} engine={engine}"
-            );
-        }
+    for threads in [1usize, 2, 4] {
+        let params = ClusterChurnParams { threads, ..tiny() };
+        let run = fleet_fingerprint(&params, 2);
+        assert_eq!(run, reference, "fleet diverged at threads={threads}");
     }
 }
 
 /// The same invariant one layer up: the registered scenario's report JSON
 /// (the artifact `bench_check` gates) must be byte-identical across the
-/// worker-thread counts once wall-clock columns are stripped.  The
-/// engine axis at this layer is swept by `tests/engine_conformance.rs`.
+/// worker-thread counts once wall-clock columns are stripped.
 #[test]
 fn cluster_churn_scenario_report_is_thread_invariant() {
     let scenario = find("cluster_churn").expect("cluster_churn is registered");
@@ -163,6 +152,24 @@ fn cluster_aggregates_reconcile_exactly_with_per_host_reports() {
         report.aggregate.interference.disrupted_cycles,
         sum(&|h| h.host.interference.disrupted_cycles)
     );
+    assert_eq!(
+        report.aggregate.translation.l2_tlb.misses(),
+        sum(&|h| h.host.translation.l2_tlb.misses())
+    );
+    assert_eq!(
+        report.aggregate.cache.llc.misses(),
+        sum(&|h| h.host.cache.llc.misses())
+    );
+    assert!(
+        report.aggregate.cache.llc.misses() > 0,
+        "the fleet must miss the LLC"
+    );
+    let energy_sum = report
+        .per_host
+        .iter()
+        .fold(0.0, |acc, h| acc + h.host.energy.total_nj());
+    assert!(energy_sum > 0.0);
+    assert_eq!(report.aggregate.energy.total_nj(), energy_sum);
     assert_eq!(
         report.migration.pages_copied,
         sum(&|h| h.migration.pages_copied)

@@ -151,4 +151,29 @@ fn invalid_override_values_are_typed_errors_not_panics() {
         .run(&Params::new().with("num_pcpus", 0), Scale::Smoke)
         .unwrap_err();
     assert_eq!(err, ConfigError::ZeroPcpus);
+    // Fleet sizing the cluster tier cannot run is rejected up front, not
+    // by a panic inside `Cluster::new`.
+    let cluster_err = |name: &str, key: &str| {
+        find(name)
+            .unwrap()
+            .run(&Params::new().with(key, 0), Scale::Smoke)
+            .unwrap_err()
+    };
+    let zero = |key: &str| ConfigError::BadValue {
+        key: key.into(),
+        value: "0 (must be at least 1)".into(),
+    };
+    assert_eq!(
+        cluster_err("cluster_churn", "threads"),
+        ConfigError::ZeroThreads
+    );
+    assert_eq!(
+        cluster_err("cluster_churn", "epoch_slices"),
+        zero("epoch_slices")
+    );
+    assert_eq!(cluster_err("cluster_churn", "hosts"), zero("hosts"));
+    assert_eq!(
+        cluster_err("cluster_faults", "threads"),
+        ConfigError::ZeroThreads
+    );
 }
