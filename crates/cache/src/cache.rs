@@ -42,16 +42,29 @@ impl PrivateCacheConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Way {
-    line: CacheLineAddr,
-    state: MesiState,
-}
+/// MESI states by their one-byte slot encoding: `MESI[state as usize] ==
+/// state`, since the array follows the enum's declaration order.
+const MESI: [MesiState; 4] = [
+    MesiState::Modified,
+    MesiState::Exclusive,
+    MesiState::Shared,
+    MesiState::Invalid,
+];
 
 /// A private, set-associative, LRU cache tracking line tags and MESI state.
+///
+/// The sets live in flat arrays: `ways` slots per set, most recently used
+/// first, plus a fill count per set; only a set's first `lens[set]` slots
+/// are valid.  Tags and states sit in separate arrays so a probe scans
+/// packed tags, and all three arrays are zero-allocated: the pages of sets
+/// a run never touches are never written.
 #[derive(Debug, Clone)]
 pub struct PrivateCache {
-    sets: Vec<Vec<Way>>,
+    /// Raw line address of each slot.
+    lines: Vec<u64>,
+    /// State of each slot, as an index into [`MESI`].
+    states: Vec<u8>,
+    lens: Vec<u32>,
     ways: usize,
     stats: RatioStat,
 }
@@ -67,46 +80,70 @@ impl PrivateCache {
         let sets = config.sets();
         assert!(sets > 0, "cache must have at least one set");
         Self {
-            sets: vec![Vec::with_capacity(config.ways); sets],
+            lines: vec![0; sets * config.ways],
+            states: vec![0; sets * config.ways],
+            lens: vec![0; sets],
             ways: config.ways,
             stats: RatioStat::new(),
         }
     }
 
-    fn set_index(&self, line: CacheLineAddr) -> usize {
-        (line.index() as usize) % self.sets.len()
+    /// `line`'s set: its first slot and its fill count.
+    fn set_of(&self, line: CacheLineAddr) -> (usize, usize) {
+        let set = (line.index() as usize) % self.lens.len();
+        (set * self.ways, self.lens[set] as usize)
+    }
+
+    /// Slot of `line` within the set starting at `base`, if present.
+    fn find(&self, base: usize, len: usize, line: CacheLineAddr) -> Option<usize> {
+        let raw = line.raw();
+        self.lines[base..base + len]
+            .iter()
+            .position(|&l| l == raw)
+            .map(|pos| base + pos)
+    }
+
+    /// Shifts the slots `base..slot` down by one and puts `line` in the
+    /// freed MRU slot `base` (overwriting what was in `slot`).
+    fn put_mru(&mut self, base: usize, slot: usize, line: CacheLineAddr, state: MesiState) {
+        if slot > base {
+            self.lines.copy_within(base..slot, base + 1);
+            self.states.copy_within(base..slot, base + 1);
+        }
+        self.lines[base] = line.raw();
+        self.states[base] = state as u8;
     }
 
     /// Looks up a line, promoting it to MRU.  Records hit/miss statistics.
     pub fn lookup(&mut self, line: CacheLineAddr) -> Option<MesiState> {
-        let set = self.set_index(line);
-        let pos = self.sets[set].iter().position(|w| w.line == line);
-        self.stats.record(pos.is_some());
-        let pos = pos?;
-        let way = self.sets[set].remove(pos);
-        let state = way.state;
-        self.sets[set].insert(0, way);
+        let (base, len) = self.set_of(line);
+        let slot = self.find(base, len, line);
+        self.stats.record(slot.is_some());
+        let slot = slot?;
+        let state = MESI[usize::from(self.states[slot])];
+        if slot > base {
+            self.put_mru(base, slot, line, state);
+        }
         Some(state)
     }
 
     /// Probes a line without recency or statistics effects.
     #[must_use]
     pub fn probe(&self, line: CacheLineAddr) -> Option<MesiState> {
-        let set = (line.index() as usize) % self.sets.len();
-        self.sets[set]
-            .iter()
-            .find(|w| w.line == line)
-            .map(|w| w.state)
+        let (base, len) = self.set_of(line);
+        self.find(base, len, line)
+            .map(|slot| MESI[usize::from(self.states[slot])])
     }
 
     /// Changes the MESI state of a present line; returns `false` if absent.
     pub fn set_state(&mut self, line: CacheLineAddr, state: MesiState) -> bool {
-        let set = self.set_index(line);
-        if let Some(way) = self.sets[set].iter_mut().find(|w| w.line == line) {
-            way.state = state;
-            true
-        } else {
-            false
+        let (base, len) = self.set_of(line);
+        match self.find(base, len, line) {
+            Some(slot) => {
+                self.states[slot] = state as u8;
+                true
+            }
+            None => false,
         }
     }
 
@@ -117,29 +154,43 @@ impl PrivateCache {
         line: CacheLineAddr,
         state: MesiState,
     ) -> Option<(CacheLineAddr, MesiState)> {
-        let set = self.set_index(line);
-        if let Some(pos) = self.sets[set].iter().position(|w| w.line == line) {
-            self.sets[set].remove(pos);
-        }
-        self.sets[set].insert(0, Way { line, state });
-        if self.sets[set].len() > self.ways {
-            self.sets[set].pop().map(|w| (w.line, w.state))
-        } else {
-            None
-        }
+        let (base, len) = self.set_of(line);
+        // The slot the new MRU line shifts down into: the line's own old
+        // slot, the first free slot, or the LRU victim's.
+        let (slot, victim) = match self.find(base, len, line) {
+            Some(slot) => (slot, None),
+            None if len < self.ways => {
+                self.lens[base / self.ways] += 1;
+                (base + len, None)
+            }
+            None => {
+                let lru = base + len - 1;
+                let victim = (
+                    CacheLineAddr::new(self.lines[lru]),
+                    MESI[usize::from(self.states[lru])],
+                );
+                (lru, Some(victim))
+            }
+        };
+        self.put_mru(base, slot, line, state);
+        victim
     }
 
     /// Removes a line (coherence invalidation); returns its state if present.
     pub fn invalidate(&mut self, line: CacheLineAddr) -> Option<MesiState> {
-        let set = self.set_index(line);
-        let pos = self.sets[set].iter().position(|w| w.line == line)?;
-        Some(self.sets[set].remove(pos).state)
+        let (base, len) = self.set_of(line);
+        let slot = self.find(base, len, line)?;
+        let state = MESI[usize::from(self.states[slot])];
+        self.lines.copy_within(slot + 1..base + len, slot);
+        self.states.copy_within(slot + 1..base + len, slot);
+        self.lens[base / self.ways] -= 1;
+        Some(state)
     }
 
     /// Number of valid lines.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.lens.iter().map(|&n| n as usize).sum()
     }
 
     /// Returns `true` if the cache holds no lines.

@@ -12,6 +12,7 @@
 //! translation structures), which the hierarchy layer performs.
 
 use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
@@ -83,9 +84,14 @@ impl SharerSet {
 
     /// All CPUs in the set, ascending.
     pub fn iter(&self) -> impl Iterator<Item = CpuId> + '_ {
-        (0..64u32)
-            .filter(|i| (self.0 >> i) & 1 == 1)
-            .map(CpuId::new)
+        let mut rest = self.0;
+        std::iter::from_fn(move || {
+            let cpu = rest.trailing_zeros();
+            (rest != 0).then(|| {
+                rest &= rest - 1;
+                CpuId::new(cpu)
+            })
+        })
     }
 
     /// Set difference: CPUs in `self` but not equal to `cpu`.
@@ -271,11 +277,13 @@ impl CoherenceDirectory {
     ) -> (ReadNote, Option<(CacheLineAddr, DirectoryEntry)>) {
         self.clock += 1;
         let clock = self.clock;
-        let allocated = !self.entries.contains_key(&line);
-        if allocated {
-            self.stats.allocations.incr();
-        }
-        let entry = self.entries.entry(line).or_default();
+        let (entry, allocated) = match self.entries.entry(line) {
+            Entry::Occupied(slot) => (slot.into_mut(), false),
+            Entry::Vacant(slot) => {
+                self.stats.allocations.incr();
+                (slot.insert(DirectoryEntry::default()), true)
+            }
+        };
         Self::touch(entry, clock);
         let downgraded_owner = match entry.owner {
             Some(owner) if owner != cpu => {
@@ -307,11 +315,13 @@ impl CoherenceDirectory {
     ) -> (WriteNote, Option<(CacheLineAddr, DirectoryEntry)>) {
         self.clock += 1;
         let clock = self.clock;
-        let allocated = !self.entries.contains_key(&line);
-        if allocated {
-            self.stats.allocations.incr();
-        }
-        let entry = self.entries.entry(line).or_default();
+        let (entry, allocated) = match self.entries.entry(line) {
+            Entry::Occupied(slot) => (slot.into_mut(), false),
+            Entry::Vacant(slot) => {
+                self.stats.allocations.incr();
+                (slot.insert(DirectoryEntry::default()), true)
+            }
+        };
         Self::touch(entry, clock);
         let targets = entry.sharers.without(cpu);
         let pt_kind = entry.pt_kind();

@@ -3,7 +3,8 @@
 use proptest::prelude::*;
 
 use hatric_cache::{
-    CacheHierarchy, CacheHierarchyConfig, DirectoryConfig, HitLevel, PrivateCacheConfig,
+    CacheHierarchy, CacheHierarchyConfig, DirectoryConfig, HitLevel, MesiState, PrivateCache,
+    PrivateCacheConfig,
 };
 use hatric_types::{CacheLineAddr, CpuId};
 
@@ -105,5 +106,150 @@ proptest! {
         let stats = h.stats();
         prop_assert_eq!(stats.l1.total(), ops.len() as u64);
         prop_assert!(stats.memory_accesses.get() <= ops.len() as u64);
+    }
+}
+
+/// A `PrivateCache` written the obvious way — one `Vec` per set, MRU
+/// first — to check the flat-array cache against.
+struct ModelCache {
+    sets: Vec<Vec<(CacheLineAddr, MesiState)>>,
+    ways: usize,
+    hits: u64,
+    misses: u64,
+}
+
+impl ModelCache {
+    fn new(sets: usize, ways: usize) -> Self {
+        Self {
+            sets: vec![Vec::new(); sets],
+            ways,
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    fn set(&mut self, line: CacheLineAddr) -> &mut Vec<(CacheLineAddr, MesiState)> {
+        let count = self.sets.len();
+        &mut self.sets[line.index() as usize % count]
+    }
+
+    fn lookup(&mut self, line: CacheLineAddr) -> Option<MesiState> {
+        let set = self.set(line);
+        let found = set.iter().position(|w| w.0 == line).map(|pos| {
+            let way = set.remove(pos);
+            set.insert(0, way);
+            way.1
+        });
+        if found.is_some() {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        found
+    }
+
+    fn probe(&mut self, line: CacheLineAddr) -> Option<MesiState> {
+        self.set(line).iter().find(|w| w.0 == line).map(|w| w.1)
+    }
+
+    fn set_state(&mut self, line: CacheLineAddr, state: MesiState) -> bool {
+        self.set(line)
+            .iter_mut()
+            .find(|w| w.0 == line)
+            .map(|w| w.1 = state)
+            .is_some()
+    }
+
+    fn fill(
+        &mut self,
+        line: CacheLineAddr,
+        state: MesiState,
+    ) -> Option<(CacheLineAddr, MesiState)> {
+        let ways = self.ways;
+        let set = self.set(line);
+        set.retain(|w| w.0 != line);
+        set.insert(0, (line, state));
+        (set.len() > ways).then(|| set.pop().expect("overfull set"))
+    }
+
+    fn invalidate(&mut self, line: CacheLineAddr) -> Option<MesiState> {
+        let set = self.set(line);
+        let pos = set.iter().position(|w| w.0 == line)?;
+        Some(set.remove(pos).1)
+    }
+
+    fn len(&self) -> usize {
+        self.sets.iter().map(Vec::len).sum()
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum CacheOp {
+    Lookup(u64),
+    Probe(u64),
+    SetState(u64, u8),
+    Fill(u64, u8),
+    Invalidate(u64),
+}
+
+fn cache_op_strategy(lines: u64) -> impl Strategy<Value = CacheOp> {
+    prop_oneof![
+        (0..lines).prop_map(CacheOp::Lookup),
+        (0..lines).prop_map(CacheOp::Probe),
+        (0..lines, 0u8..4).prop_map(|(l, s)| CacheOp::SetState(l, s)),
+        (0..lines, 0u8..4).prop_map(|(l, s)| CacheOp::Fill(l, s)),
+        (0..lines, 0u8..4).prop_map(|(l, s)| CacheOp::Fill(l, s)),
+        (0..lines).prop_map(CacheOp::Invalidate),
+    ]
+}
+
+fn mesi(n: u8) -> MesiState {
+    [
+        MesiState::Modified,
+        MesiState::Exclusive,
+        MesiState::Shared,
+        MesiState::Invalid,
+    ][usize::from(n)]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The flat-array `PrivateCache` returns the same states, victims,
+    /// occupancy and hit/miss counts as a per-set `Vec` model over random
+    /// op sequences — LRU promotion and victim choice are unchanged.
+    #[test]
+    fn flat_private_cache_matches_the_vec_of_sets_model(
+        sets in 1usize..6,
+        ways in 1usize..6,
+        ops in proptest::collection::vec(cache_op_strategy(40), 1..300),
+    ) {
+        let mut cache = PrivateCache::new(PrivateCacheConfig {
+            capacity_bytes: (sets * ways * 64) as u64,
+            ways,
+        });
+        let mut model = ModelCache::new(sets, ways);
+        for op in ops {
+            let line = |n: u64| CacheLineAddr::new(n * 64);
+            match op {
+                CacheOp::Lookup(l) => prop_assert_eq!(cache.lookup(line(l)), model.lookup(line(l))),
+                CacheOp::Probe(l) => prop_assert_eq!(cache.probe(line(l)), model.probe(line(l))),
+                CacheOp::SetState(l, s) => prop_assert_eq!(
+                    cache.set_state(line(l), mesi(s)),
+                    model.set_state(line(l), mesi(s))
+                ),
+                CacheOp::Fill(l, s) => prop_assert_eq!(
+                    cache.fill(line(l), mesi(s)),
+                    model.fill(line(l), mesi(s))
+                ),
+                CacheOp::Invalidate(l) => prop_assert_eq!(
+                    cache.invalidate(line(l)),
+                    model.invalidate(line(l))
+                ),
+            }
+            prop_assert_eq!(cache.len(), model.len());
+        }
+        prop_assert_eq!(cache.stats().hits(), model.hits);
+        prop_assert_eq!(cache.stats().misses(), model.misses);
     }
 }

@@ -380,6 +380,8 @@ impl<H: EpochHost> Cluster<H> {
 
     /// Executes `n` lockstep epochs.
     pub fn run_epochs(&mut self, n: u64) {
+        // Idle shard workers spin between this call's epochs.
+        let _armed = self.pool.as_ref().map(WorkerPool::arm);
         for _ in 0..n {
             self.fire_due_faults();
             self.fire_due_events();

@@ -55,153 +55,8 @@ use hatric_workloads::Access;
 use crate::config::LatencyConfig;
 use crate::driver::WorkloadDriver;
 use crate::platform::{remap_span_name, Platform};
+use crate::pool::{ArmGuard, WorkerPool};
 use crate::vm_instance::{VmInstance, GUEST_PT_GPP_BASE};
-
-// ---------------------------------------------------------------------------
-// The persistent fork-join worker pool
-// ---------------------------------------------------------------------------
-
-/// A job dispatched to a pool worker (lifetime-erased borrowed closure).
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A minimal persistent fork-join pool.
-///
-/// `std::thread::scope` spawns OS threads on every call; at one simulate
-/// scope plus one commit scope per slice, thread-creation latency swamps
-/// the parallel work (slices are ~1 ms).  This pool keeps its workers
-/// alive across slices: [`WorkerPool::run_with_local`] dispatches one
-/// borrowed closure per worker and blocks until all of them finish — the
-/// same fork-join contract as a scope, without the per-slice spawns.
-///
-/// Public because the cluster tier reuses it to shard whole hosts across
-/// threads with the exact same fork-join discipline the slice engine uses
-/// for units.
-pub struct WorkerPool {
-    handles: Vec<std::thread::JoinHandle<()>>,
-    job_txs: Vec<std::sync::mpsc::Sender<Job>>,
-    done_rx: std::sync::mpsc::Receiver<bool>,
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("workers", &self.handles.len())
-            .finish()
-    }
-}
-
-impl WorkerPool {
-    /// Spawns `workers` long-lived threads.
-    #[must_use]
-    pub fn new(workers: usize) -> Self {
-        let (done_tx, done_rx) = std::sync::mpsc::channel::<bool>();
-        let mut handles = Vec::with_capacity(workers);
-        let mut job_txs = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (job_tx, job_rx) = std::sync::mpsc::channel::<Job>();
-            let done = done_tx.clone();
-            handles.push(std::thread::spawn(move || {
-                for job in job_rx.iter() {
-                    let panicked =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).is_err();
-                    // The pool owner may already be gone on shutdown races;
-                    // a failed send is fine then.
-                    let _ = done.send(panicked);
-                }
-            }));
-            job_txs.push(job_tx);
-        }
-        Self {
-            handles,
-            job_txs,
-            done_rx,
-        }
-    }
-
-    /// Number of pool workers.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Runs the borrowed jobs — one per pool worker, in order — plus
-    /// `local` on the calling thread, and blocks until every job
-    /// completed.  Panics (after all jobs drained) if any job panicked.
-    ///
-    /// Jobs may borrow caller stack data: this function does not return
-    /// until every job has run to completion, so the borrows outlive their
-    /// use (the `std::thread::scope` guarantee, amortized across calls).
-    ///
-    /// # Panics
-    ///
-    /// Panics if more jobs than workers are submitted, or if any job
-    /// panicked (after all jobs drained).
-    pub fn run_with_local<'env>(
-        &self,
-        jobs: Vec<Box<dyn FnOnce() + Send + 'env>>,
-        local: impl FnOnce(),
-    ) {
-        /// Blocks until every dispatched job has signalled completion —
-        /// **also on unwind**.  The lifetime-erased jobs borrow the
-        /// caller's stack, so returning (or unwinding past) this frame
-        /// while a worker still runs one would be a use-after-free; the
-        /// guard's `Drop` drains the completion channel first.
-        struct DrainGuard<'a> {
-            rx: &'a std::sync::mpsc::Receiver<bool>,
-            remaining: usize,
-        }
-        impl Drop for DrainGuard<'_> {
-            fn drop(&mut self) {
-                while self.remaining > 0 {
-                    // `Err` means every worker thread is gone (so no job
-                    // can still hold a borrow) — safe to stop draining.
-                    if self.rx.recv().is_err() {
-                        break;
-                    }
-                    self.remaining -= 1;
-                }
-            }
-        }
-
-        assert!(jobs.len() <= self.workers(), "one job per worker");
-        let mut guard = DrainGuard {
-            rx: &self.done_rx,
-            remaining: 0,
-        };
-        for (tx, job) in self.job_txs.iter().zip(jobs) {
-            // SAFETY: `Job` erases the closure's `'env` lifetime to
-            // `'static`.  The borrows inside stay valid because this
-            // function — via the normal drain below or `DrainGuard` on any
-            // unwind — blocks until every dispatched job has finished
-            // executing; a worker can never touch the closure after this
-            // frame is gone.
-            let job: Job =
-                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job) };
-            tx.send(job).expect("pool worker thread is alive");
-            guard.remaining += 1;
-        }
-        local();
-        let mut panicked = false;
-        while guard.remaining > 0 {
-            panicked |= guard
-                .rx
-                .recv()
-                .expect("pool worker signals every job completion");
-            guard.remaining -= 1;
-        }
-        assert!(!panicked, "a slice-engine worker panicked");
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Closing the job channels ends the worker loops.
-        self.job_txs.clear();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Frame pools
@@ -302,6 +157,8 @@ struct CommitScratch {
     serial_queue: Vec<(u64, usize, SerialEffect)>,
     seq_slots: Vec<u32>,
     privs: Vec<(u64, hatric_cache::PrivEffect)>,
+    /// Per-worker private-effect outputs of the parallel bank replay.
+    worker_privs: Vec<Vec<(u64, hatric_cache::PrivEffect)>>,
 }
 
 impl CommitScratch {
@@ -351,6 +208,20 @@ impl EngineState {
         if self.pool.as_ref().is_none_or(|p| p.workers() < want) {
             self.pool = Some(WorkerPool::new(want));
         }
+    }
+
+    /// Arms the worker pool for a run of slices at `threads` threads
+    /// (creating it if needed): until the guard drops, the pool's idle
+    /// threads spin between the slices' fork-joins instead of parking.
+    /// A disarmed guard when `threads` is 1.
+    pub fn arm(&mut self, threads: usize) -> ArmGuard {
+        if threads <= 1 {
+            return ArmGuard::default();
+        }
+        self.ensure_pool(threads);
+        self.pool
+            .as_ref()
+            .map_or_else(ArmGuard::default, WorkerPool::arm)
     }
 }
 
@@ -1260,6 +1131,7 @@ fn commit_effects(
         serial_queue,
         seq_slots,
         privs,
+        worker_privs,
     } = scratch;
     let mut seq: u64 = 0;
     for unit in effects.iter() {
@@ -1281,17 +1153,29 @@ fn commit_effects(
         }
     }
 
+    // The parallel replay runs on `threads` shares: the calling thread
+    // plus `threads - 1` pool workers.
+    let parallel = pool
+        .filter(|p| threads > 1 && p.workers() > 0)
+        .map(|p| (p, threads.min(p.workers() + 1)));
     replay_banks(
         platform,
-        threads,
-        pool,
+        parallel,
         bank_queues,
         mem_queue,
         privs,
+        worker_privs,
         profiler,
     );
     serial_pass(platform, vms, privs, serial_queue, seq_slots, profiler);
 }
+
+/// DRAM bookings that cost about as much wall time to replay as one bank
+/// op: a booking updates one device queue, while a bank op probes an LLC
+/// set and the directory map and often evicts a directory entry (on
+/// `host_v32`, ~16 ns per booking against a few hundred per op).  Only the
+/// bank-to-thread deal reads it.
+const BOOKINGS_PER_BANK_OP: usize = 16;
 
 /// The parallel replay phase: bank replays + DRAM bookings.  Bank replays
 /// read no private or device state, so any worker↔bank assignment yields
@@ -1300,11 +1184,11 @@ fn commit_effects(
 /// canonical global-seq order.
 fn replay_banks(
     platform: &mut Platform,
-    threads: usize,
-    pool: Option<&WorkerPool>,
+    parallel: Option<(&WorkerPool, usize)>,
     bank_queues: &[Vec<(u64, SharedCacheOp)>],
     mem_queue: &[MemoryBooking],
     privs: &mut Vec<(u64, hatric_cache::PrivEffect)>,
+    worker_privs: &mut Vec<Vec<(u64, hatric_cache::PrivEffect)>>,
     profiler: &mut PhaseProfiler,
 ) {
     let bank_count = bank_queues.len();
@@ -1312,7 +1196,7 @@ fn replay_banks(
     {
         let banks = platform.caches.banks_mut();
         let memory = &mut platform.memory;
-        match pool.filter(|p| threads > 1 && p.workers() > 0) {
+        match parallel {
             None => {
                 let t = Instant::now();
                 for (bank, queue) in banks.iter_mut().zip(bank_queues.iter()) {
@@ -1327,22 +1211,35 @@ fn replay_banks(
                 }
                 profiler.record(EnginePhase::BookingReplay, t.elapsed());
             }
-            Some(pool) => {
-                // Workers replay the banks; the calling thread replays the
-                // DRAM bookings meanwhile (devices and banks are disjoint).
+            Some((pool, shares)) => {
+                // Deal the banks, largest queue first, each to the
+                // least-loaded share; share 0 is the calling thread, which
+                // also replays the DRAM bookings (devices and banks are
+                // disjoint).  Load is counted in bank ops.
                 type BankWork<'a> = (&'a mut hatric_cache::CacheBank, &'a [(u64, SharedCacheOp)]);
-                let workers = pool.workers().min(bank_count);
-                let mut worker_banks: Vec<Vec<BankWork<'_>>> =
-                    (0..workers).map(|_| Vec::new()).collect();
-                for (i, (bank, queue)) in banks.iter_mut().zip(bank_queues.iter()).enumerate() {
-                    worker_banks[i % workers].push((bank, queue.as_slice()));
+                let mut loads = vec![0usize; shares];
+                loads[0] = mem_queue.len() / BOOKINGS_PER_BANK_OP;
+                let mut order: Vec<usize> = (0..bank_count).collect();
+                order.sort_by_key(|&b| std::cmp::Reverse(bank_queues[b].len()));
+                let mut owner = vec![0usize; bank_count];
+                for b in order {
+                    let least = (0..shares).min_by_key(|&s| loads[s]).unwrap_or(0);
+                    owner[b] = least;
+                    loads[least] += bank_queues[b].len();
                 }
-                let mut results: Vec<Vec<(u64, hatric_cache::PrivEffect)>> =
-                    (0..workers).map(|_| Vec::new()).collect();
-                let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = results
+                let mut share_banks: Vec<Vec<BankWork<'_>>> =
+                    (0..shares).map(|_| Vec::new()).collect();
+                for ((bank, queue), s) in banks.iter_mut().zip(bank_queues.iter()).zip(owner) {
+                    share_banks[s].push((bank, queue.as_slice()));
+                }
+                let mut share_banks = share_banks.into_iter();
+                let local_banks = share_banks.next().unwrap_or_default();
+                worker_privs.resize_with(shares - 1, Vec::new);
+                let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = worker_privs
                     .iter_mut()
-                    .zip(worker_banks)
+                    .zip(share_banks)
                     .map(|(out, bucket)| {
+                        out.clear();
                         let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
                             for (bank, queue) in bucket {
                                 for (op_seq, op) in queue {
@@ -1353,11 +1250,10 @@ fn replay_banks(
                         job
                     })
                     .collect();
-                // The booking replay runs on the calling thread while the
-                // workers replay banks, so `BankReplay` here is the wall
-                // time of the fork-join barrier minus the local booking
-                // time (the two phases overlap; on the inline path they
-                // are disjoint).
+                // The calling thread's bookings overlap the bank replays,
+                // so `BankReplay` here is the wall time of the fork-join
+                // barrier minus the local booking time (on the inline path
+                // the two phases are disjoint).
                 let barrier = Instant::now();
                 let mut booking_elapsed = std::time::Duration::ZERO;
                 pool.run_with_local(jobs, || {
@@ -1366,14 +1262,19 @@ fn replay_banks(
                         memory.apply_booking(booking);
                     }
                     booking_elapsed = t.elapsed();
+                    for (bank, queue) in local_banks {
+                        for (op_seq, op) in queue {
+                            bank.apply_op(op, *op_seq, eager, privs);
+                        }
+                    }
                 });
                 profiler.record(
                     EnginePhase::BankReplay,
                     barrier.elapsed().saturating_sub(booking_elapsed),
                 );
                 profiler.record(EnginePhase::BookingReplay, booking_elapsed);
-                for list in results {
-                    privs.extend(list);
+                for list in worker_privs.iter_mut() {
+                    privs.append(list);
                 }
             }
         }

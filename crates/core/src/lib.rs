@@ -54,6 +54,7 @@ pub mod engine;
 pub mod experiments;
 pub mod metrics;
 pub mod platform;
+mod pool;
 pub mod system;
 pub mod vm_instance;
 
@@ -61,13 +62,14 @@ pub use config::{
     CoherenceMechanismExt, LatencyConfig, MemoryMode, PagingKnobs, SystemConfig, DEFAULT_SEED,
 };
 pub use driver::WorkloadDriver;
-pub use engine::{run_slice_parallel, EngineState, WorkerPool};
+pub use engine::{run_slice_parallel, EngineState};
 pub use experiments::{ExperimentParams, RunSpec};
 pub use metrics::{
     CoherenceActivity, FaultActivity, HostReport, InterferenceActivity, MigrationStats,
     NumaActivity, SimReport,
 };
 pub use platform::{Platform, WriteObserver};
+pub use pool::{ArmGuard, WorkerPool};
 pub use system::System;
 pub use vm_instance::{VmInstance, VmPagingParams};
 

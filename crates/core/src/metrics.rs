@@ -200,6 +200,13 @@ pub struct MigrationStats {
     /// Pages a post-copy destination demand-fetched from the source on a
     /// guest access's critical path (subset of `received_pages`).
     pub postcopy_fetched_pages: u64,
+    /// Pages a post-copy destination pulled from the source's outstanding
+    /// set, demand-fetched or background-pulled (subset of
+    /// `received_pages`; superset of `postcopy_fetched_pages`).  The
+    /// source never counted these as copied, so for a finished migration
+    /// `pages_copied == received_pages - postcopy_received_pages +
+    /// pages_dropped + pages_discarded`.
+    pub postcopy_received_pages: u64,
     /// Scheduler slices withheld from a migrating VM by auto-convergence
     /// throttling (pre-copy failing to converge against the dirty rate).
     pub throttled_slices: u64,
@@ -236,6 +243,7 @@ impl MigrationStats {
         self.balloon_granted_pages += other.balloon_granted_pages;
         self.received_pages += other.received_pages;
         self.postcopy_fetched_pages += other.postcopy_fetched_pages;
+        self.postcopy_received_pages += other.postcopy_received_pages;
         self.throttled_slices += other.throttled_slices;
         self.migrations_aborted += other.migrations_aborted;
         self.migrations_escalated += other.migrations_escalated;

@@ -316,6 +316,12 @@ impl ConsolidatedHost {
 
     /// Executes `n` scheduler slices.
     pub fn run_slices(&mut self, n: u64) {
+        if n == 0 {
+            return;
+        }
+        // The slices' fork-joins come back to back: the engine's idle
+        // workers spin between them for the span of this call.
+        let _armed = self.engine.arm(self.config.threads);
         for _ in 0..n {
             self.run_one_slice();
         }

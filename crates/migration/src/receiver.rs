@@ -230,6 +230,7 @@ impl MigrationReceiver {
                     break;
                 };
                 self.outstanding.remove(&gpp);
+                self.stats.postcopy_received_pages += 1;
                 // Demanded pages pay the synchronous round trip; the rest
                 // are background trickle.
                 let demanded = vms[self.params.vm_slot]

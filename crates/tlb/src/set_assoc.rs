@@ -10,9 +10,15 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 /// A set-associative container mapping keys to values with LRU replacement.
+///
+/// The sets live in one flat array: `ways` slots per set, most recently
+/// used first, plus a fill count per set.  A set's first `lens[set]` slots
+/// hold its entries; the slots past them are `None` or stale and are never
+/// read.
 #[derive(Debug, Clone)]
 pub struct SetAssoc<K, V> {
-    sets: Vec<Vec<(K, V)>>,
+    slots: Vec<Option<(K, V)>>,
+    lens: Vec<u32>,
     ways: usize,
 }
 
@@ -32,9 +38,9 @@ impl<K: Hash + Eq + Clone, V: Clone> SetAssoc<K, V> {
             entries.is_multiple_of(ways),
             "ways ({ways}) must divide total entries ({entries})"
         );
-        let num_sets = entries / ways;
         Self {
-            sets: vec![Vec::with_capacity(ways); num_sets],
+            slots: (0..entries).map(|_| None).collect(),
+            lens: vec![0; entries / ways],
             ways,
         }
     }
@@ -42,13 +48,13 @@ impl<K: Hash + Eq + Clone, V: Clone> SetAssoc<K, V> {
     /// Total capacity in entries.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.sets.len() * self.ways
+        self.slots.len()
     }
 
     /// Number of currently valid entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.lens.iter().map(|&n| n as usize).sum()
     }
 
     /// Returns `true` if no entries are valid.
@@ -60,58 +66,88 @@ impl<K: Hash + Eq + Clone, V: Clone> SetAssoc<K, V> {
     fn set_index(&self, key: &K) -> usize {
         let mut hasher = DefaultHasher::new();
         key.hash(&mut hasher);
-        (hasher.finish() as usize) % self.sets.len()
+        (hasher.finish() as usize) % self.lens.len()
+    }
+
+    /// `key`'s set and its position within the set, if present.
+    fn find(&self, key: &K) -> (usize, Option<usize>) {
+        let set = self.set_index(key);
+        let base = set * self.ways;
+        let pos = self.slots[base..base + self.lens[set] as usize]
+            .iter()
+            .position(|slot| matches!(slot, Some((k, _)) if k == key));
+        (set, pos)
     }
 
     /// Looks up `key`, promoting it to MRU on a hit.
     pub fn lookup(&mut self, key: &K) -> Option<&V> {
-        let set = self.set_index(key);
-        let pos = self.sets[set].iter().position(|(k, _)| k == key)?;
-        let entry = self.sets[set].remove(pos);
-        self.sets[set].insert(0, entry);
-        self.sets[set].first().map(|(_, v)| v)
+        let (set, pos) = self.find(key);
+        let base = set * self.ways;
+        let pos = pos?;
+        if pos > 0 {
+            self.slots[base..=base + pos].rotate_right(1);
+        }
+        self.slots[base].as_ref().map(|(_, v)| v)
     }
 
     /// Looks up `key` without changing recency (probe).
     #[must_use]
     pub fn peek(&self, key: &K) -> Option<&V> {
-        let set = self.set_index(key);
-        self.sets[set]
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
+        let (set, pos) = self.find(key);
+        self.slots[set * self.ways + pos?].as_ref().map(|(_, v)| v)
     }
 
     /// Inserts (or replaces) `key`, returning the evicted victim if the set
     /// overflowed.
     pub fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
-        let set = self.set_index(&key);
-        if let Some(pos) = self.sets[set].iter().position(|(k, _)| *k == key) {
-            self.sets[set].remove(pos);
-        }
-        self.sets[set].insert(0, (key, value));
-        if self.sets[set].len() > self.ways {
-            self.sets[set].pop()
-        } else {
-            None
-        }
+        let (set, pos) = self.find(&key);
+        let base = set * self.ways;
+        let len = self.lens[set] as usize;
+        // The slot the new MRU entry shifts down into: the key's own old
+        // slot, the first free slot, or the LRU victim's.
+        let (last, victim) = match pos {
+            Some(pos) => (pos, None),
+            None if len < self.ways => {
+                self.lens[set] += 1;
+                (len, None)
+            }
+            None => (len - 1, self.slots[base + len - 1].take()),
+        };
+        self.slots[base..=base + last].rotate_right(1);
+        self.slots[base] = Some((key, value));
+        victim
     }
 
     /// Removes `key`, returning its value if present.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let set = self.set_index(key);
-        let pos = self.sets[set].iter().position(|(k, _)| k == key)?;
-        Some(self.sets[set].remove(pos).1)
+        let (set, pos) = self.find(key);
+        let base = set * self.ways;
+        let pos = base + pos?;
+        let (_, value) = self.slots[pos].take()?;
+        self.slots[pos..base + self.lens[set] as usize].rotate_left(1);
+        self.lens[set] -= 1;
+        Some(value)
     }
 
     /// Removes every entry for which `pred` returns `true`; returns how many
-    /// entries were removed.
+    /// entries were removed.  `pred` sees the entries in [`iter`](Self::iter)
+    /// order, and the survivors keep their recency order.
     pub fn invalidate_matching<F: FnMut(&K, &V) -> bool>(&mut self, mut pred: F) -> u64 {
         let mut removed = 0;
-        for set in &mut self.sets {
-            let before = set.len();
-            set.retain(|(k, v)| !pred(k, v));
-            removed += (before - set.len()) as u64;
+        for (set, len) in self.slots.chunks_mut(self.ways).zip(&mut self.lens) {
+            let mut kept = 0;
+            for i in 0..*len as usize {
+                if matches!(&set[i], Some((k, v)) if pred(k, v)) {
+                    set[i] = None;
+                } else {
+                    if kept < i {
+                        set.swap(kept, i);
+                    }
+                    kept += 1;
+                }
+            }
+            removed += u64::from(*len) - kept as u64;
+            *len = kept as u32;
         }
         removed
     }
@@ -119,15 +155,18 @@ impl<K: Hash + Eq + Clone, V: Clone> SetAssoc<K, V> {
     /// Removes every entry; returns how many entries were valid.
     pub fn flush(&mut self) -> u64 {
         let count = self.len() as u64;
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.lens.fill(0);
         count
     }
 
-    /// Iterates over all valid entries (no recency effect).
+    /// Iterates over all valid entries (no recency effect): sets in index
+    /// order, each MRU first.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.sets.iter().flatten().map(|(k, v)| (k, v))
+        self.slots
+            .chunks(self.ways)
+            .zip(&self.lens)
+            .flat_map(|(set, &len)| set[..len as usize].iter())
+            .filter_map(|slot| slot.as_ref().map(|(k, v)| (k, v)))
     }
 }
 

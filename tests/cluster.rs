@@ -335,3 +335,78 @@ fn a_source_crash_mid_precopy_reconciles_pages_exactly() {
         "the source engine records its own abort"
     );
 }
+
+/// Post-copy reconciles page-exactly too, once the pages the destination
+/// pulled itself are set apart: the source never copied those, so
+///
+/// ```text
+/// pages_copied == received_pages - postcopy_received_pages
+///                 + pages_dropped + pages_discarded
+/// ```
+///
+/// Checked for a plain post-copy flip (nothing copied, every page pulled)
+/// and for a pre-copy that the non-convergence timeout escalates (some
+/// pages copied, the rest pulled).
+#[test]
+fn a_postcopy_migration_reconciles_pages_exactly() {
+    use hatric_cluster::{Cluster, ClusterParams, MigrationMode, ScheduledMigration};
+    use hatric_host::{ConsolidatedHost, MigrationParams};
+
+    let base = ClusterChurnParams::quick();
+    for mode in [MigrationMode::PostCopy, MigrationMode::PreCopy] {
+        let fleet: Vec<ConsolidatedHost> = (0..2)
+            .map(|h| {
+                ConsolidatedHost::new(base.host_config(h, CoherenceMechanism::Hatric))
+                    .expect("quick configs are valid")
+            })
+            .collect();
+        let mut params = ClusterParams::new(base.epoch_slices, 1);
+        // Two pages a slice never converge against the guest's dirty
+        // rate: the timeout escalates the pre-copy to post-copy.
+        params.migration = MigrationParams {
+            copy_pages_per_slice: 2,
+            ..MigrationParams::at(0, 0)
+        };
+        params.stall_timeout_epochs = 3;
+        let mut cluster = Cluster::new(fleet, params);
+        for host in 0..2 {
+            for slot in base.active_vms..base.vm_slots() {
+                cluster.set_vm_active(host, slot, false);
+            }
+        }
+        cluster.schedule_migration(ScheduledMigration {
+            epoch: 2,
+            src_host: 0,
+            src_slot: 0,
+            dst_host: Some(1),
+            mode,
+        });
+        let report = cluster.run(2, 60);
+
+        assert_eq!(report.migrations.len(), 1, "{mode:?}: one migration ran");
+        let outcome = &report.migrations[0];
+        assert!(
+            outcome.handed_off && outcome.drained,
+            "{mode:?}: {outcome:?}"
+        );
+        assert_eq!(outcome.escalated, mode == MigrationMode::PreCopy);
+        let m = &report.migration;
+        assert!(m.postcopy_received_pages > 0, "{mode:?}: pages were pulled");
+        assert!(m.postcopy_received_pages >= m.postcopy_fetched_pages);
+        assert_eq!(
+            m.pages_copied > 0,
+            mode == MigrationMode::PreCopy,
+            "{mode:?}: only the escalated pre-copy copied pages"
+        );
+        assert_eq!(
+            m.pages_copied,
+            m.received_pages - m.postcopy_received_pages + m.pages_dropped + m.pages_discarded,
+            "{mode:?}: every copied page must be landed, dropped or discarded"
+        );
+        // The pulls are counted on the destination host.
+        assert_eq!(
+            report.per_host[1].migration.postcopy_received_pages,
+            m.postcopy_received_pages
+        );
+    }
+}
